@@ -7,8 +7,9 @@ invalid — and is removed immediately — the moment its last marked
 frame expires, so invalid states are neither re-intersected against
 future frames nor filtered at result time.
 
-Frame Marking Rules implemented here (paper §4.2.3, disambiguated per
-DESIGN.md):
+The full scan and the Frame Marking Rules (§4.2.3, disambiguated per
+DESIGN.md) live in the shared update rule,
+:class:`~repro.core.model.MCOSGenerator`:
 
 1. A state created (or re-encountered) *as the arriving frame's full
    object set* has the arriving fid marked: the single-frame suffix
@@ -21,73 +22,28 @@ DESIGN.md):
    propagated onto that state (rule 2 of §4.2.3): for any mark ``f``
    of ``s'``, the suffix of the target's frame set from ``f`` onward
    intersects to ``ID_{s'} ∩ O_i``, which is the target's object set.
+
+MFS supplies only its death rule (the newest mark expired) and
+``results``.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.core.model import State, Window, merge_sorted_unique
+from repro.core.model import MCOSGenerator
 
 
-class MFSGenerator:
+class MFSGenerator(MCOSGenerator):
     """State maintenance with Marked Frame Sets."""
 
-    def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
-        self.win = Window(w, d)
-        self.states: dict[int, State] = {}
-        # Section 5.3 termination hook (MFS_O): ``admit(mask) -> bool``;
-        # object sets failing every >=-only query are never maintained.
-        self.admit = admit
-
-    def advance(self, fid: int, objs_mask: int) -> None:
-        """Process one arriving frame (fids strictly increasing)."""
-        lo = self.win.lo(fid)
-        states = self.states
+    def _expire(self, lo: int) -> None:
         # Expire frames; drop states whose newest mark expired — by
         # Theorem 1 those states are invalid.
+        states = self.states
         for mask in list(states):
             st = states[mask]
             if st.mark < lo:
                 del states[mask]
                 continue
             st.expire(lo)
-        if not objs_mask:
-            return
-        # Group generator states by their intersection with the frame.
-        gens: dict[int, list[State]] = {}
-        for st in states.values():
-            inter = st.objset & objs_mask
-            if inter:
-                bucket = gens.get(inter)
-                if bucket is None:
-                    gens[inter] = [st]
-                else:
-                    bucket.append(st)
-        for inter, glist in gens.items():
-            ex = states.get(inter)
-            if ex is not None:
-                # Append case: ``inter == ex.objset`` and
-                # ``ex.objset ⊆ objs_mask`` (ex is its own generator).
-                ex.append_frame(fid)
-                for g in glist:
-                    if g.mark > ex.mark:
-                        ex.mark = g.mark  # mark propagation (§4.2.3)
-            else:
-                if self.admit is not None and not self.admit(inter):
-                    continue
-                fr = merge_sorted_unique([g.frames for g in glist])
-                if not fr or fr[-1] != fid:
-                    fr.append(fid)
-                states[inter] = State(inter, fr, max(g.mark for g in glist))
-        # The arriving frame's own object set is (or becomes) a
-        # principal-style state with the arriving fid marked.
-        st = states.get(objs_mask)
-        if st is None:
-            if self.admit is None or self.admit(objs_mask):
-                states[objs_mask] = State(objs_mask, [fid], fid)
-        else:
-            st.append_frame(fid)
-            st.mark = fid
 
     def results(self) -> dict[int, list[int]]:
         """Satisfied valid states: all survivors with ``|F_s| >= d``."""
@@ -97,6 +53,3 @@ class MFSGenerator:
             for mask, st in self.states.items()
             if len(st.frames) >= d
         }
-
-    def n_states(self) -> int:
-        return len(self.states)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class ObjSetCodec:
@@ -76,7 +76,7 @@ class ObjSetCodec:
         return len(self._oid_of)
 
 
-@dataclass
+@dataclass(eq=False)
 class State:
     """A state ``(ID_s, F_s)`` with its Marked Frame Set.
 
@@ -89,6 +89,8 @@ class State:
     threshold).  Mark-set union from the paper's marking rules becomes
     ``max``.  Frames are not eagerly expired — SSG prunes lazily on
     visit — so read accessors take the window low bound ``lo``.
+    States compare and hash by identity: SSG keeps them in adjacency
+    sets.
     """
 
     objset: int
@@ -154,6 +156,110 @@ class Window:
     def lo(self, fid: int) -> int:
         """Lowest fid inside the window ending at ``fid``."""
         return fid - self.w + 1
+
+
+class MCOSGenerator:
+    """The state-update rule shared by NAIVE, MFS and SSG.
+
+    Per arriving frame ``i`` with object set ``O_i``, every *generator*
+    state ``s'`` (one with ``ID_{s'} ∩ O_i`` non-empty) is grouped by
+    that intersection, and for each intersection value:
+
+    - if a state with that object set exists, ``i`` is appended to it
+      *unmarked* and its generators' marks are propagated onto it
+      (§4.2.3 rule 2, §4.3.6);
+    - otherwise, if ``admit`` lets it in (§5.3), it is created with
+      the union of its generators' frame sets plus ``i`` (the paper's
+      ``merge``) and inherits the newest of their marks.
+
+    ``O_i`` itself then becomes the *principal* state, created or
+    appended to with ``i`` marked: the single-frame suffix ``{i}``
+    intersects to exactly ``O_i``.  Only the newest mark is kept, so
+    mark-set union is ``max`` (see :class:`State`).
+
+    Subclasses supply what differs: ``_expire`` (when a state dies),
+    ``results`` (the Result State Set) and, for SSG, how generator
+    states are found (``_generators``) plus the graph hooks
+    ``_create``, ``_connect_principal`` and ``_update_results``.
+    """
+
+    def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
+        self.win = Window(w, d)
+        self.states: dict[int, State] = {}
+        # Section 5.3 termination hook (the *_O variants):
+        # ``admit(mask) -> bool``; object sets failing every >=-only
+        # query are never maintained.
+        self.admit = admit
+
+    def advance(self, fid: int, objs_mask: int) -> None:
+        """Process one arriving frame (fids strictly increasing)."""
+        lo = self.win.lo(fid)
+        states = self.states
+        admit = self.admit
+        gen_map = self._generators(fid, lo, objs_mask)
+        for inter, glist in gen_map.items():
+            st = states.get(inter)
+            if st is not None:
+                # Append case: ``inter ⊆ objs_mask``, so ``st`` is also
+                # its own generator.
+                st.append_frame(fid)
+                for g in glist:
+                    if g.mark > st.mark:
+                        st.mark = g.mark
+            else:
+                if admit is not None and not admit(inter):
+                    continue
+                fr = merge_sorted_unique([g.frames for g in glist])
+                if not fr or fr[-1] != fid:
+                    fr.append(fid)
+                self._create(inter, fr, max(g.mark for g in glist), glist[0])
+        if objs_mask:
+            st = states.get(objs_mask)
+            if st is None:
+                if admit is None or admit(objs_mask):
+                    self._connect_principal(self._create(objs_mask, [fid], fid, None), gen_map)
+            else:
+                st.append_frame(fid)
+                st.mark = fid
+        self._update_results(lo, gen_map, objs_mask)
+
+    def _expire(self, lo: int) -> None:
+        """Drop the states that died when the window moved to ``lo``."""
+        raise NotImplementedError
+
+    def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[State]]:
+        """Full scan: expire, then group every stored state by its
+        (non-empty) intersection with the arriving object set."""
+        self._expire(lo)
+        gens: dict[int, list[State]] = {}
+        if objs_mask:
+            for st in self.states.values():
+                inter = st.objset & objs_mask
+                if inter:
+                    bucket = gens.get(inter)
+                    if bucket is None:
+                        gens[inter] = [st]
+                    else:
+                        bucket.append(st)
+        return gens
+
+    def _create(self, objset: int, frames: list[int], mark: int, parent: State | None) -> State:
+        """Store a new state; ``parent`` is its first generator (``None``
+        for a principal state)."""
+        st = self.states[objset] = State(objset, frames, mark)
+        return st
+
+    def _connect_principal(self, ns: State, gen_map: dict[int, list[State]]) -> None:
+        """Hook run after a new principal state is created."""
+
+    def _update_results(self, lo: int, gen_map: dict[int, list[State]], objs_mask: int) -> None:
+        """Hook run at the end of every frame."""
+
+    def results(self) -> dict[int, list[int]]:
+        raise NotImplementedError
+
+    def n_states(self) -> int:
+        return len(self.states)
 
 
 def iter_frames(frames: Iterable[tuple[int, Iterable[int]]]) -> Iterator[tuple[int, list[int]]]:

@@ -1,6 +1,7 @@
 """Pipeline tests: MCOS generation × CNFEvalE coupling and §5.3 pruning."""
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -59,6 +60,25 @@ def test_pruned_variants_match_unpruned(method, seed):
     plain = evaluate_stream(stream, queries, w=10, d=5, method=method, prune=False)
     pruned = evaluate_stream(stream, queries, w=10, d=5, method=method, prune=True)
     assert sorted(plain, key=str) == sorted(pruned, key=str)
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("seed", range(2))
+def test_snapshot_roundtrip_every_frame(method, prune, seed):
+    """A pipeline pickled and restored after every frame — the snapshot
+    the streaming operator takes per micro-batch — emits the same match
+    rows and Result State Sets as one that never stops."""
+    stream = labeled_stream(60, seed=seed)
+    # n_min=2 both matches and terminates object sets on these streams.
+    queries = geq_only_queries(20, n_min=2, seed=seed, labels=("person", "car", "truck"))
+    ref = QueryPipeline(queries, w=10, d=5, method=method, prune=prune)
+    pipe = QueryPipeline(queries, w=10, d=5, method=method, prune=prune)
+    for fid, objs in stream:
+        assert pipe.feed(fid, objs) == ref.feed(fid, objs), f"fid={fid}"
+        assert pipe.gen.results() == ref.gen.results(), f"fid={fid}"
+        pipe = pickle.loads(pickle.dumps(pipe))
+    assert pipe.stats.terminated == ref.stats.terminated
 
 
 @pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
